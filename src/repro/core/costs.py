@@ -9,6 +9,7 @@ uses to cross-check the Proposition 2 cost allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,10 @@ class CostModel:
     storage_rates: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"transfer cost lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(
+                f"transfer cost lambda must be finite and > 0, got {self.lam}"
+            )
         if self.n <= 0:
             raise ValueError(f"need at least one server, got n={self.n}")
         rates = self.storage_rates or tuple([1.0] * self.n)
@@ -46,8 +49,8 @@ class CostModel:
             raise ValueError(
                 f"storage_rates must have length n={self.n}, got {len(rates)}"
             )
-        if any(r <= 0 for r in rates):
-            raise ValueError("storage rates must be strictly positive")
+        if not all(0 < r < math.inf for r in rates):
+            raise ValueError("storage rates must be finite and strictly positive")
         object.__setattr__(self, "storage_rates", tuple(float(r) for r in rates))
 
     @property

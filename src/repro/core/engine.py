@@ -52,22 +52,34 @@ A policy qualifies only if its decisions are a pure function of
 * :class:`ConventionalReplication` — always eligible (``alpha = 1``
   makes predictions irrelevant).
 * :class:`WangReplication` — always eligible (prediction-free).
+* :class:`AdaptiveReplication` (the adapted algorithm of Section 8) —
+  eligible on Algorithm 1's terms, fast tier only.  Its ``OPT_L`` /
+  ``Online_U`` monitors need no telemetry: the request type (1-4)
+  follows from whether the served server holds a copy and whether the
+  serving copy is the special one, so :func:`_fast_adaptive` keeps
+  them as running scalars — per-server last duration ``l_i`` and last
+  local time ``t_p``, plus the special copy's switch time ``t'`` —
+  updated with ``_note_request``'s exact float expressions in the same
+  order.  The slab tiers (batch, kernel) do not replay it.
 
 Everything else falls back to the reference engine:
 
-* :class:`AdaptiveReplication` monitors its own realized cost ratio and
-  switches durations adaptively — its state depends on per-request
-  telemetry the fast path does not materialise;
 * history-based predictors (sliding window, Markov, EWMA, ensembles)
   learn from ``observe`` callbacks in arrival order;
 * anything needing classifications, serve records, event logs, or copy
   records must use the reference engine — the fast path never produces
-  telemetry, by construction.
+  telemetry, by construction.  In particular an adaptive policy's
+  ``monitor_history`` and any policy's ``classifications`` are
+  populated only by the reference engine; callers that read them must
+  pass ``engine="reference"`` (``analysis.competitive.analyze_run``
+  calls :func:`simulate` directly for this reason).
 
 ``select_engine(trace, model, policy, "auto")`` encodes that rule: it
-returns the fast engine iff :meth:`FastCostEngine.supports` holds, else
-the reference engine.  ``sweep_grid`` and ``ExperimentRunner`` default
-to ``"auto"`` because grid cells consume only costs;
+returns a cost-only tier iff :meth:`FastCostEngine.supports` holds, else
+the reference engine; a policy only the fast tier replays goes to the
+fast engine whatever the trace length or slab size.  ``sweep_grid`` and
+``ExperimentRunner`` default to ``"auto"`` because grid cells consume
+only costs;
 ``MultiObjectSystem.run`` defaults to ``"reference"`` because its
 :class:`FleetReport` exposes full per-object results.
 
@@ -96,7 +108,8 @@ across the cells.
 
 ``select_engine(..., slab_size=k)`` encodes the selection rule:
 ``"auto"`` returns the batch engine when the caller holds a slab of
-``k > 1`` eligible cells, the fast engine for single eligible runs, and
+``k > 1`` batch-eligible cells (Algorithm 1, conventional, Wang), the
+fast engine for single eligible runs and for fast-only policies, and
 the reference engine otherwise.  :func:`run_slab` is the module-level
 dispatcher the sweep and experiment layers use: it batches whole slabs
 when eligible and falls back to bit-identical per-cell execution when
@@ -191,9 +204,9 @@ interleave, drain and finalize order, ``seq_sum`` / ``repeat_add``
 reductions) reuses the machinery above, so kernel Wang is bit-identical
 to ``_fast_wang``'s heap replay — the tests pin this across every
 registered scenario, tie-prone hypothesis instances, and all execution
-backends.  ``supports()`` therefore carries **no policy exclusions**:
-heterogeneous Algorithm-1 + Wang fleets run as single-tier kernel
-slabs (see :func:`run_policy_slab`).
+backends.  The kernel therefore takes every slab-family policy
+(Algorithm 1, conventional, Wang): heterogeneous Algorithm-1 + Wang
+fleets run as single-tier kernel slabs (see :func:`run_policy_slab`).
 
 Selection: the kernel's fixed overhead (a handful of array allocations
 and one shared per-server sort) loses to the fast engine's lean scalar
@@ -212,6 +225,7 @@ million-request scale comes from (``benchmarks/bench_kernel.py``).
 from __future__ import annotations
 
 import abc
+import functools
 import heapq
 import itertools
 import threading
@@ -348,7 +362,8 @@ class ReferenceEngine(Engine):
 
 
 class FastCostEngine(Engine):
-    """Cost-only replay of Algorithm 1 / conventional / Wang policies.
+    """Cost-only replay of Algorithm 1 / conventional / Wang policies
+    and of the adapted algorithm (Section 8).
 
     See the module DESIGN docstring for eligibility rules and the
     bit-identical-cost argument.
@@ -360,23 +375,9 @@ class FastCostEngine(Engine):
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.stream import PredictionStream
-
-        kind = type(policy)
-        if kind is WangReplication:
-            return _wang_rates_ok(model)
-        if kind is ConventionalReplication:
-            return model.uniform_storage
-        if kind is LearningAugmentedReplication:
-            if not model.uniform_storage:
-                return False
-            # cheap type/provenance check; the stream itself is built
-            # once, in run()
-            return PredictionStream.supports_predictor(policy.predictor, trace)
-        return False
+        return _slab_family_supports(trace, model, policy) or _fast_only_supports(
+            trace, model, policy
+        )
 
     def run(
         self,
@@ -397,7 +398,11 @@ class FastCostEngine(Engine):
             storage, transfer, n_tx = _fast_wang(
                 trace, model, drain, drain_event_cap
             )
-        elif kind in (ConventionalReplication, LearningAugmentedReplication):
+        elif kind in (
+            ConventionalReplication,
+            LearningAugmentedReplication,
+            _adaptive_type(),
+        ):
             if not model.uniform_storage:
                 raise PolicyError(
                     "Algorithm 1 assumes uniform storage rates (paper Section 2)"
@@ -408,9 +413,22 @@ class FastCostEngine(Engine):
                     f"FastCostEngine cannot stream predictor "
                     f"{policy.predictor.name!r}; use the reference engine"
                 )
-            storage, transfer, n_tx = _fast_algorithm1(
-                trace, model, policy.alpha, stream.within, drain, drain_event_cap
-            )
+            if kind is _adaptive_type():
+                storage, transfer, n_tx = _fast_adaptive(
+                    trace,
+                    model,
+                    policy.alpha,
+                    policy.beta,
+                    policy.warmup,
+                    stream.within,
+                    drain,
+                    drain_event_cap,
+                )
+            else:
+                storage, transfer, n_tx = _fast_algorithm1(
+                    trace, model, policy.alpha, stream.within, drain,
+                    drain_event_cap,
+                )
         else:
             raise EngineError(
                 f"FastCostEngine does not support {kind.__name__}; "
@@ -435,6 +453,53 @@ class FastCostEngine(Engine):
             # alpha = 1: both prediction branches choose duration lambda
             return PredictionStream.fixed(trace, False)
         return PredictionStream.for_predictor(policy.predictor, trace, model.lam)
+
+
+def _slab_family_supports(
+    trace: Trace, model: CostModel, policy: ReplicationPolicy
+) -> bool:
+    """Eligibility of the policy families every cost-only tier replays:
+    Algorithm 1 and the conventional baseline under uniform storage with
+    a streamable predictor, and Wang's baseline under ascending rates.
+    Exact types only: subclasses may override behaviour."""
+    from ..algorithms.conventional import ConventionalReplication
+    from ..algorithms.learning_augmented import LearningAugmentedReplication
+    from ..algorithms.wang import WangReplication
+    from ..predictions.stream import PredictionStream
+
+    kind = type(policy)
+    if kind is WangReplication:
+        return _wang_rates_ok(model)
+    if kind is ConventionalReplication:
+        return model.uniform_storage
+    if kind is LearningAugmentedReplication:
+        if not model.uniform_storage:
+            return False
+        # cheap type/provenance check; the stream itself is built once,
+        # in run()
+        return PredictionStream.supports_predictor(policy.predictor, trace)
+    return False
+
+
+@functools.cache
+def _adaptive_type() -> type:
+    from ..algorithms.adaptive import AdaptiveReplication
+
+    return AdaptiveReplication
+
+
+def _fast_only_supports(
+    trace: Trace, model: CostModel, policy: ReplicationPolicy
+) -> bool:
+    """Eligibility of the policies only the fast tier replays: the
+    adapted algorithm (Section 8), on Algorithm 1's terms."""
+    if type(policy) is not _adaptive_type():
+        return False
+    from ..predictions.stream import PredictionStream
+
+    return model.uniform_storage and PredictionStream.supports_predictor(
+        policy.predictor, trace
+    )
 
 
 def _wang_rates_ok(model: CostModel) -> bool:
@@ -582,6 +647,125 @@ def _fast_algorithm1(
             if special == j:
                 special = -1
         schedule(j, t + duration)
+
+    if drain:
+        _drain_expiries(pop_due, expire, seg, trace.n, drain_event_cap)
+
+    t_m = trace.span
+    for s, start in seg.items():
+        charge(s, start, t_m)
+    return acc["storage"], transfer, n_transfers
+
+
+def _fast_adaptive(
+    trace: Trace,
+    model: CostModel,
+    alpha: float,
+    beta: float,
+    warmup: int,
+    within,
+    drain: bool,
+    drain_event_cap: int | None,
+) -> tuple[float, float, int]:
+    """Replay the adapted Algorithm 1 (Section 8) with scalar slot state.
+
+    The slot replay is :func:`_fast_algorithm1`'s; on top of it the
+    ``OPT_L`` / ``Online_U`` monitors run as scalars, updated with
+    exactly ``AdaptiveReplication._note_request``'s float expressions
+    in the same order, and a tripped monitor forces the next duration
+    to ``lambda``.  Kept apart from :func:`_fast_algorithm1` so the
+    plain Algorithm-1 loop carries no per-request monitor branches.
+    """
+    inf = float("inf")
+    lam = model.lam
+    d_beyond = alpha * lam
+    bound = 2.0 + beta
+    seg, acc, charge, schedule, pop_due, token = _slot_machinery(
+        trace.span, model.storage_rates
+    )
+    special = -1                    # server holding the special copy, if any
+    special_at = 0.0                # its regular -> special switch time
+    transfer = 0.0
+    n_transfers = 0
+
+    def expire(server: int, when: float) -> None:
+        nonlocal special, special_at
+        if len(seg) == 1:
+            special = server
+            special_at = when
+        else:
+            charge(server, seg.pop(server), when)
+
+    pred = within.tolist()
+    times = trace.times.tolist()
+    servers = trace.servers.tolist()
+
+    # r_0 sets server 0's first duration at time 0.0; last_time's keys
+    # are the monitors' seen servers ({0} plus every requested server)
+    duration = lam if pred[0] else d_beyond
+    seg[0] = 0.0
+    schedule(0, duration)
+    last_duration = {0: duration}   # l_i: duration set by the last local request
+    last_time = {0: 0.0}            # t_p: time of the last local request
+    opt_lower = 0.0
+    online_base = 0.0               # Prop. 2 allocations of arisen requests
+    prev_time = 0.0
+
+    for i in range(len(times)):
+        t = times[i]
+        j = servers[i]
+        while True:
+            due = pop_due(t, False)
+            if due is None:
+                break
+            w, s = due
+            if s in seg:
+                expire(s, w)
+        l_i = last_duration.get(j)
+        t_p = last_time.get(j)
+        if j in seg:
+            # Type 3/4 (local regular/special): allocation t_i - t_p(i)
+            online_base += t - t_p
+            charge(j, seg[j], t)    # renew the copy period
+            seg[j] = t
+            if special == j:
+                special = -1
+        else:
+            source = min(seg)
+            transfer += lam
+            n_transfers += 1
+            seg[j] = t
+            if special == source:
+                # Type 2: lambda + (t_i - t') + l_i, then drop the source
+                online_base += (
+                    lam + (t - special_at) + (0.0 if l_i is None else l_i)
+                )
+                charge(source, seg.pop(source), t)
+                token.pop(source, None)
+                special = -1
+            else:
+                # Type 1: lambda + l_i
+                online_base += lam + (0.0 if l_i is None else l_i)
+        if t_p is None:
+            opt_lower += lam
+        else:
+            gap = t - t_p
+            opt_lower += lam if gap > lam else gap
+        gap = t - prev_time
+        if gap > lam:
+            opt_lower += gap - lam
+        prev_time = t
+        last_time[j] = t
+        # past the warm-up (more than `warmup` requests seen), a ratio
+        # Online_U / OPT_L above 2 + beta forces the next duration to lam
+        forced = i >= warmup and (
+            inf
+            if opt_lower <= 0.0
+            else (online_base + 2.0 * lam * len(last_time)) / opt_lower
+        ) > bound
+        duration = lam if forced or pred[i + 1] else d_beyond
+        schedule(j, t + duration)
+        last_duration[j] = duration
 
     if drain:
         _drain_expiries(pop_due, expire, seg, trace.n, drain_event_cap)
@@ -967,8 +1151,7 @@ class BatchCostEngine(Engine):
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
-        # cell-wise eligibility is exactly the fast path's
-        return _ENGINES["fast"].supports(trace, model, policy)
+        return _slab_family_supports(trace, model, policy)
 
     # ------------------------------------------------------------------
     def run(
@@ -1843,8 +2026,9 @@ class KernelCostEngine(Engine):
     """Cost-only segment-scan replay: pure array passes, no per-request
     Python loop.
 
-    Eligibility is exactly the fast path's: Algorithm 1 rides the
-    segment scan of PR 5 and Wang's baseline rides the candidate-count
+    Eligibility is the slab family's (:func:`_slab_family_supports`,
+    shared with the batch tier): Algorithm 1 rides the
+    segment scan and Wang's baseline rides the candidate-count
     formulation plus the sequential episode machine (see the module
     DESIGN docstring for both bit-identity arguments).  Costs are
     bit-identical to :class:`FastCostEngine` for every supported
@@ -1876,21 +2060,7 @@ class KernelCostEngine(Engine):
     def supports(
         self, trace: Trace, model: CostModel, policy: ReplicationPolicy
     ) -> bool:
-        from ..algorithms.conventional import ConventionalReplication
-        from ..algorithms.learning_augmented import LearningAugmentedReplication
-        from ..algorithms.wang import WangReplication
-        from ..predictions.stream import PredictionStream
-
-        kind = type(policy)
-        if kind is WangReplication:
-            return _wang_rates_ok(model)
-        if kind is ConventionalReplication:
-            return model.uniform_storage
-        if kind is LearningAugmentedReplication:
-            if not model.uniform_storage:
-                return False
-            return PredictionStream.supports_predictor(policy.predictor, trace)
-        return False
+        return _slab_family_supports(trace, model, policy)
 
     def run(
         self,
@@ -2198,7 +2368,6 @@ def run_policy_slab(
     )
     wants_kernel = engine == "kernel" or isinstance(engine, KernelCostEngine)
     if wants_slab and len(cells) > 1:
-        kernel = _ENGINES["kernel"]
         # slab-eligible cells, split by replay shape: Algorithm-1 cells
         # share one cell-major prediction matrix, Wang cells share one
         # cascade replay per distinct (lam, rates) (memoised on the
@@ -2206,7 +2375,7 @@ def run_policy_slab(
         alg1: list[int] = []
         wangs: list[int] = []
         for i, (model, policy) in enumerate(cells):
-            if kernel.supports(trace, model, policy):
+            if _slab_family_supports(trace, model, policy):
                 if type(policy) is WangReplication:
                     wangs.append(i)
                 else:
@@ -2414,33 +2583,30 @@ def select_engine(
     single cells, :data:`KERNEL_SLAB_MIN_M` when the caller holds a slab
     of ``slab_size > 1`` cells sharing this ``(trace, lambda)``), the
     batch engine for shorter slabs, and the fast engine for shorter
-    single runs — and the reference engine otherwise (see the module
-    docstring).  A concrete name or :class:`Engine` instance is returned
-    as-is — callers that need telemetry must pass ``"reference"``
-    explicitly.  ``backend`` configures the kernel tier's execution
+    single runs — the fast engine for fast-only policies (the adapted
+    algorithm) at any size, and the reference engine otherwise (see
+    the module docstring).  A concrete name or :class:`Engine` instance
+    is returned as-is — callers that need telemetry must pass
+    ``"reference"`` explicitly.  ``backend`` configures the kernel tier's execution
     backend whenever the kernel is the outcome (``core/backends.py``);
     the other tiers ignore it.
     """
     if backend is not None:
         get_backend(backend)    # strict even when the kernel loses
     if engine == "auto":
-        fast = _ENGINES["fast"]
-        if fast.supports(trace, model, policy):
-            kernel = _ENGINES["kernel"]
+        if _slab_family_supports(trace, model, policy):
             floor = KERNEL_SLAB_MIN_M if slab_size > 1 else KERNEL_MIN_M
             if len(trace) < floor:
-                chosen = _ENGINES["batch"] if slab_size > 1 else fast
+                chosen = _ENGINES["batch" if slab_size > 1 else "fast"]
                 reason = "below_kernel_crossover"
-            elif kernel.supports(trace, model, policy):
-                chosen, reason = kernel, "kernel_eligible"
+            else:
+                chosen, reason = _ENGINES["kernel"], "kernel_eligible"
                 if backend is not None:
                     chosen = _kernel_variant(backend)
-            else:
-                # fast-path eligible but not kernel-eligible (no such
-                # policy remains among the registered ones; kept for
-                # engines registered out of tree)
-                chosen = _ENGINES["batch"] if slab_size > 1 else fast
-                reason = "kernel_ineligible"
+        elif _fast_only_supports(trace, model, policy):
+            # the adapted algorithm: no slab tier replays it, so a slab
+            # of such cells runs cell by cell on the fast tier
+            chosen, reason = _ENGINES["fast"], "fast_only"
         else:
             chosen, reason = _ENGINES["reference"], "fast_ineligible"
         if _obs.enabled:

@@ -442,10 +442,10 @@ class InteractiveSimulation:
 
     def submit(self, t: float, server: int) -> Request:
         """Deliver a new request at ``(t, server)`` to the policy."""
-        if t <= self._last_request_time:
+        if not self._last_request_time < t < float("inf"):
             raise ValueError(
-                f"request times must be strictly increasing: {t} <= "
-                f"{self._last_request_time}"
+                f"request times must be finite and strictly increasing: "
+                f"{t} after {self._last_request_time}"
             )
         self.advance_to(t, inclusive=False)
         req = Request(t, server, self._next_index)

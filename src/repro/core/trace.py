@@ -419,8 +419,8 @@ class Trace:
 
 
 def _validate_columns(n: int, times: np.ndarray, servers: np.ndarray) -> None:
-    """Vectorized invariant checks (strictly increasing > 0, servers in
-    range), with first-violation error messages."""
+    """Vectorized invariant checks (finite, strictly increasing > 0,
+    servers in range), with first-violation error messages."""
     if times.shape != servers.shape:
         raise TraceError(
             f"times and servers must align, got {times.shape} vs {servers.shape}"
@@ -431,19 +431,33 @@ def _validate_columns(n: int, times: np.ndarray, servers: np.ndarray) -> None:
     prevs = np.empty_like(times)
     prevs[0] = 0.0
     prevs[1:] = times[:-1]
-    bad_t = times <= prevs
+    # ~(>) rather than <=: a NaN compares False either way and must fail;
+    # with every step increasing, a finite last time bounds them all
+    bad_t = ~(times > prevs)
     bad_s = (servers < 0) | (servers >= n)
     any_t = bad_t.any()
     if any_t or bad_s.any():
         k = int(np.argmax(bad_t | bad_s))
         if bad_t[k]:
-            raise TraceError(
-                "request times must be strictly increasing and > 0 "
-                f"(violation at index {k + 1}: {times[k]} <= {prevs[k]})"
-            )
+            raise time_violation(k, times[k], prevs[k])
         if servers[k] < 0:
             raise TraceError(f"server index must be >= 0, got {servers[k]}")
         raise TraceError(f"request {k + 1} at server {servers[k]} but n={n}")
+    if not np.isfinite(times[-1]):
+        raise time_violation(m - 1, times[-1], prevs[-1])
+
+
+def time_violation(k: int, t: float, prev: float, prefix: str = "") -> TraceError:
+    """The first-violation error for request ``k + 1`` (0-based ``k``)
+    arriving at ``t`` after ``prev``."""
+    if not np.isfinite(t):
+        return TraceError(
+            f"{prefix}request times must be finite (request {k + 1} at {t})"
+        )
+    return TraceError(
+        f"{prefix}request times must be strictly increasing and > 0 "
+        f"(violation at index {k + 1}: {t} <= {prev})"
+    )
 
 
 def merge_traces(traces: Iterable[Trace], n: int | None = None) -> Trace:

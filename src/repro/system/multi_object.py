@@ -62,7 +62,7 @@ from ..core.costs import CostModel
 from ..core.engine import CostResult, Engine, run_policy_slab, select_engine
 from ..core.policy import ReplicationPolicy
 from ..core.simulator import SimulationResult
-from ..core.trace import Trace, TraceError
+from ..core.trace import Trace, TraceError, time_violation
 from ..offline.dp import optimal_cost
 
 __all__ = [
@@ -596,24 +596,25 @@ def split_trace_by_object(
     prevs[0] = 0.0
     prevs[1:] = times[:-1]
     prevs[boundary] = 0.0
-    bad = (times <= prevs) | (servers < 0) | (servers >= n)
+    # ~(>) catches NaN; a finite last time per group bounds the rest
+    # (lexsort places NaN and +inf at the end of their group)
+    bad = ~(times > prevs) | (servers < 0) | (servers >= n)
+    bad[ends - 1] |= ~np.isfinite(times[ends - 1])
     if bad.any():
         k = int(np.argmax(bad))
         key = obj_sorted[k].item()
         i = k - int(starts[np.searchsorted(starts, k, side="right") - 1])
-        if times[k] <= prevs[k]:
-            raise TraceError(
-                f"object {key}: request times must be strictly increasing "
-                f"and > 0 (violation at index {i + 1}: "
-                f"{times[k]} <= {prevs[k]})"
-            )
+        if not times[k] > prevs[k]:
+            raise time_violation(i, times[k], prevs[k], f"object {key}: ")
         if servers[k] < 0:
             raise TraceError(
                 f"object {key}: server index must be >= 0, got {servers[k]}"
             )
-        raise TraceError(
-            f"object {key}: request {i + 1} at server {servers[k]} but n={n}"
-        )
+        if servers[k] >= n:
+            raise TraceError(
+                f"object {key}: request {i + 1} at server {servers[k]} but n={n}"
+            )
+        raise time_violation(i, times[k], prevs[k], f"object {key}: ")
     out: dict[str, Trace] = {}
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         key = obj_sorted[lo].item()

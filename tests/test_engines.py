@@ -4,7 +4,8 @@ The contract under test (core/engine.py DESIGN): the cost-only
 :class:`FastCostEngine` must reproduce the reference event-driven
 simulator's total / storage / transfer costs *bit for bit* for every
 fast-path-eligible policy — Algorithm 1 with streamable predictors,
-the conventional baseline, and Wang et al. — on arbitrary instances,
+the conventional baseline, Wang et al., and the adapted algorithm
+(pinned in ``test_adaptive_engine.py``) — on arbitrary instances,
 and must refuse (or be skipped by ``auto`` selection for) everything
 else.
 """
@@ -234,11 +235,13 @@ class TestSelection:
         assert select_engine(self.trace, self.model, WangReplication(), "auto") \
             is get_engine("fast")
 
-    def test_auto_falls_back_for_adaptive(self):
+    def test_auto_picks_fast_for_adaptive(self):
         pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
-        assert not FAST.supports(self.trace, self.model, pol)
+        assert FAST.supports(self.trace, self.model, pol)
         assert select_engine(self.trace, self.model, pol, "auto") \
-            is get_engine("reference")
+            is get_engine("fast")
+        assert select_engine(self.trace, self.model, pol, "auto", slab_size=8) \
+            is get_engine("fast")
 
     def test_auto_falls_back_for_history_predictor(self):
         pol = LearningAugmentedReplication(SlidingWindowPredictor(window=5), 0.5)
@@ -251,7 +254,8 @@ class TestSelection:
         assert not FAST.supports(self.trace, model, pol)
 
     def test_explicit_fast_on_unsupported_policy_raises(self):
-        pol = AdaptiveReplication(OraclePredictor(self.trace), 0.5, beta=0.1)
+        pol = LearningAugmentedReplication(SlidingWindowPredictor(window=5), 0.5)
+        assert not FAST.supports(self.trace, self.model, pol)
         with pytest.raises(EngineError):
             FAST.run(self.trace, self.model, pol)
 

@@ -27,6 +27,13 @@ class TestSubmission:
         with pytest.raises(ValueError, match="strictly increasing"):
             sim.submit(1.0, 0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, t):
+        sim, _ = make_sim()
+        sim.submit(1.0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            sim.submit(t, 0)
+
     def test_finish_builds_trace(self):
         sim, _ = make_sim()
         sim.submit(1.0, 1)
