@@ -16,6 +16,13 @@ through its memoised replay).  Three paths are timed:
 * **sharded** — ``ExperimentRunner.run_fleet`` across worker processes
   with work-sized chunks, streaming aggregates, and no per-object IPC.
 
+The templated fleet shares a few dozen ``(trace, lambda)`` groups, so
+per-group dispatch cost never shows there.  A second row times an
+**access-log** fleet — a Zipf-popularity ``(time, server, object)`` log
+split by ``split_trace_by_object``, one distinct trace (and so one
+offline optimum) per object — serial loop vs sharded, both computing
+every optimum.
+
 Bit-identity of the grouped, sharded, and streaming paths against the
 serial reference loop is always asserted on a small fleet of the same
 mixed-policy shape before any timing.  The vectorized ``split_trace_by_object`` is
@@ -25,11 +32,14 @@ Standalone use (the CI smoke step runs this via ``repro bench``)::
 
     python benchmarks/bench_fleet.py [--out benchmarks/BENCH_fleet.json]
                                      [--objects 1000000] [--workers N]
+                                     [--log-objects 10000]
                                      [--gate 3.0] [--strict]
 
 writes ``BENCH_fleet.json``:
 ``{"speedup": ..., "serial_objects_per_s": ..., "grouped_objects_per_s":
-..., "sharded_objects_per_s": ..., "split_speedup": ...}``.  The gate
+..., "sharded_objects_per_s": ..., "split_speedup": ...,
+"access_log_serial_objects_per_s": ..., "access_log_sharded_objects_per_s":
+...}``.  The gate
 (sharded over serial, default :data:`MIN_SPEEDUP`) only fails the
 process under ``--strict`` — CI runs the quick profile with ``--gate
 1.0 --strict``.
@@ -59,6 +69,13 @@ IDENTITY_OBJECTS = 256
 #: loop would dominate the full fleet's 64M-row log)
 SPLIT_MAX_ROWS = 400_000
 
+#: objects in the access-log row; object k (1-based) of the Zipf log
+#: gets max(1, top // k) requests, top = LOG_TOP_REQUESTS at this size
+#: and scaled with the object count for smaller logs
+LOG_OBJECTS = 10_000
+LOG_TOP_REQUESTS = 20_000
+LOG_LAMBDA = 100.0
+
 #: full-size sharded-over-serial bar; CI smoke uses --gate 1.0
 MIN_SPEEDUP = 3.0
 
@@ -67,7 +84,8 @@ MIN_SPEEDUP = 3.0
 GATE_METRIC = "speedup"
 
 #: quick profile appended by `repro bench --quick` (the CI smoke step)
-QUICK_ARGS = ["--objects", "20000", "--serial-sample", "4000"]
+QUICK_ARGS = ["--objects", "20000", "--serial-sample", "4000",
+              "--log-objects", "2000"]
 
 
 #: the timed fleet's policy mix — every fourth object runs Wang's
@@ -212,10 +230,82 @@ def run_split_bench(n_objects: int) -> dict:
     }
 
 
+def _access_log(n_objects: int):
+    """A shuffled Zipf-popularity ``(time, server, object)`` log: one
+    distinct trace per object, most of them a handful of requests."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    top = max(1, LOG_TOP_REQUESTS * n_objects // LOG_OBJECTS)
+    counts = np.maximum(1, top // np.arange(1, n_objects + 1))
+    owner = np.repeat(np.arange(n_objects), counts)
+    # integer slots drawn without replacement keep each object's request
+    # times distinct (the paper's assumption)
+    slots = rng.permutation(len(owner) * 4)[: len(owner)]
+    times = (slots + 1) * 0.25
+    servers = rng.integers(0, N_SERVERS, len(owner))
+    order = rng.permutation(len(owner))
+    return [
+        (float(times[j]), int(servers[j]), f"log-{int(owner[j]):06d}")
+        for j in order
+    ]
+
+
+def _log_system(n_objects: int):
+    from repro.system.multi_object import (
+        MultiObjectSystem,
+        ObjectSpec,
+        split_trace_by_object,
+    )
+
+    traces = split_trace_by_object(_access_log(n_objects), N_SERVERS)
+    return MultiObjectSystem(N_SERVERS, [
+        ObjectSpec(oid, tr, LOG_LAMBDA, _noisy_policy_factory)
+        for oid, tr in traces.items()
+    ])
+
+
+def run_access_log_bench(n_objects: int, workers: int) -> dict:
+    """Serial loop vs sharded runner on an access-log fleet, optimum
+    included: every object is its own ``(trace, lambda)`` group."""
+    from repro.experiments import ExperimentRunner
+
+    # bit-identity first, materialized, on a log of the same shape
+    small = _log_system(min(n_objects, IDENTITY_OBJECTS))
+    runner = ExperimentRunner(workers=workers)
+    serial = small.run(engine="fast")
+    sharded = runner.run_fleet(small, engine="auto")
+    for a, b in zip(serial.outcomes, sharded.outcomes, strict=True):
+        assert a.online == b.online, (a.object_id, a.online, b.online)
+        assert a.optimal == b.optimal, a.object_id
+
+    system = _log_system(n_objects)
+    t0 = time.perf_counter()
+    serial = system.run(engine="fast", materialize=False)
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sharded = runner.run_fleet(system, engine="auto", materialize=False)
+    sharded_s = time.perf_counter() - t0
+    assert sharded.online_total == serial.online_total
+    assert sharded.optimal_total == serial.optimal_total
+    assert sharded.worst_object_ratio == serial.worst_object_ratio
+    return {
+        "objects": n_objects,
+        "requests": sum(len(s.trace) for s in system.specs),
+        "workers": workers,
+        "serial_s": serial_s,
+        "sharded_s": sharded_s,
+        "serial_objects_per_s": n_objects / serial_s,
+        "sharded_objects_per_s": n_objects / sharded_s,
+        "fleet_ratio": sharded.fleet_ratio,
+    }
+
+
 def run_fleet_bench(
     n_objects: int = FULL_OBJECTS,
     workers: int | None = None,
     serial_sample: int = SERIAL_SAMPLE,
+    log_objects: int = LOG_OBJECTS,
 ) -> dict:
     """Time serial vs grouped vs sharded fleet execution.
 
@@ -256,6 +346,7 @@ def run_fleet_bench(
         assert serial_report.online_total == grouped_report.online_total
 
     split = run_split_bench(n_objects)
+    log = run_access_log_bench(log_objects, workers)
     return {
         "objects": n_objects,
         "templates": N_TEMPLATES,
@@ -275,6 +366,9 @@ def run_fleet_bench(
         "fleet_ratio": sharded_report.fleet_ratio,
         "split": split,
         "split_speedup": split["split_speedup"],
+        "access_log": log,
+        "access_log_serial_objects_per_s": log["serial_objects_per_s"],
+        "access_log_sharded_objects_per_s": log["sharded_objects_per_s"],
     }
 
 
@@ -282,7 +376,8 @@ def test_fleet_speedup(benchmark):
     """Fleet slabs: identical costs, faster than the per-object loop."""
     from conftest import emit
 
-    report = run_fleet_bench(n_objects=20_000, workers=2, serial_sample=4_000)
+    report = run_fleet_bench(n_objects=20_000, workers=2, serial_sample=4_000,
+                             log_objects=2_000)
     emit(
         "Fleet dispatch (per-object loop vs cross-object slabs)",
         f"{report['objects']} objects: serial "
@@ -290,7 +385,10 @@ def test_fleet_speedup(benchmark):
         f"{report['grouped_objects_per_s']:,.0f} obj/s, sharded "
         f"{report['sharded_objects_per_s']:,.0f} obj/s "
         f"(speedup {report['speedup']:.1f}x; split "
-        f"{report['split_speedup']:.1f}x)",
+        f"{report['split_speedup']:.1f}x); access log "
+        f"{report['access_log']['objects']} objects: serial "
+        f"{report['access_log_serial_objects_per_s']:,.0f} obj/s, sharded "
+        f"{report['access_log_sharded_objects_per_s']:,.0f} obj/s",
     )
     assert report["grouped_speedup"] >= 1.0
     # the vectorized split wins on memory and determinism; its time is
@@ -319,8 +417,13 @@ def main(argv=None) -> int:
     workers = int(raw) if raw is not None else None
     raw = flag_value(args, "--serial-sample")
     serial_sample = int(raw) if raw is not None else SERIAL_SAMPLE
+    raw = flag_value(args, "--log-objects")
+    log_objects = int(raw) if raw is not None else LOG_OBJECTS
     report = run_fleet_bench(
-        n_objects=n_objects, workers=workers, serial_sample=serial_sample
+        n_objects=n_objects,
+        workers=workers,
+        serial_sample=serial_sample,
+        log_objects=log_objects,
     )
     write_report(report, out)
     print(
@@ -329,7 +432,10 @@ def main(argv=None) -> int:
         f"{report['serial_objects_per_s']:,.0f} obj/s, grouped "
         f"{report['grouped_objects_per_s']:,.0f} obj/s, sharded "
         f"{report['sharded_objects_per_s']:,.0f} obj/s, split "
-        f"{report['split_speedup']:.1f}x -> {out}"
+        f"{report['split_speedup']:.1f}x; access log "
+        f"({report['access_log']['objects']} objects): serial "
+        f"{report['access_log_serial_objects_per_s']:,.0f} obj/s, sharded "
+        f"{report['access_log_sharded_objects_per_s']:,.0f} obj/s -> {out}"
     )
     return gate_exit(report["speedup"], gate, strict, label="speedup")
 

@@ -286,26 +286,30 @@ def _slab_chunk_task(
 def _fleet_chunk_task(chunk: Sequence[tuple]):
     """Evaluate one fleet chunk: a tuple of cross-object sub-slabs.
 
-    Each sub-slab is ``(trace_key, lam, spec_indices, factory_indices)``
-    — the objects of one ``(trace digest, lambda)`` group assigned to
-    this chunk.  The worker resolves the shared trace once (fork-
-    inherited object or digest-addressed mmap), builds every object's
-    policy from the fork-inherited factory table, and evaluates the
-    whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
+    Each sub-slab is ``(trace_key, lam, spec_indices, factory_indices,
+    with_opt)`` — the objects of one ``(trace digest, lambda)`` group
+    assigned to this chunk.  The worker resolves the shared trace once
+    (fork-inherited object or digest-addressed mmap), builds every
+    object's policy from the fork-inherited factory table, and evaluates
+    the whole sub-slab through :func:`~repro.core.engine.run_policy_slab`
     (kernel/batch slab where eligible, per-cell fallback otherwise).
+    ``with_opt`` marks the sub-slab holding its group's first object:
+    that one also computes the group's offline optimum, so a fleet needs
+    no IPC round beyond its chunks.
 
-    Returned rows are ``(spec_index, row)`` where ``row`` is the bare
-    online cost in streaming mode, or a compact
-    ``("cost", name, engine, storage, transfer, n_tx)`` tuple /
+    Returns ``(rows, opts)``: ``opts`` lists ``(trace_key, lam,
+    optimum)`` for every flagged sub-slab.  Rows are ``(spec_index,
+    row)`` where ``row`` is the bare online cost in streaming mode, or a
+    compact ``("cost", name, engine, storage, transfer, n_tx)`` tuple /
     ``("full", SimulationResult)`` payload when the parent materializes
     outcomes — compact rows keep a million-object run's IPC free of
     per-object trace pickling (the parent rebuilds each
     :class:`~repro.core.engine.CostResult` against its own trace
     reference, bitwise-identical totals).
     """
-    n_objects = sum(len(idxs) for _, _, idxs, _ in chunk)
+    n_objects = sum(len(sub[2]) for sub in chunk)
 
-    def compute() -> list[tuple[int, Any]]:
+    def compute() -> tuple[list[tuple[int, Any]], list[tuple]]:
         ctx = _ctx()
         n: int = ctx["n"]
         engine = ctx.get("engine", "reference")
@@ -313,9 +317,12 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
         factories = ctx["factories"]
         ship_results: bool = ctx["fleet_ship_results"]
         rows: list[tuple[int, Any]] = []
-        for trace_key, lam, idxs, fidxs in chunk:
+        opts: list[tuple] = []
+        for trace_key, lam, idxs, fidxs, with_opt in chunk:
             trace = _resolve_trace(trace_key)
             model = CostModel(lam=lam, n=n)
+            if with_opt:
+                opts.append((trace_key, lam, optimal_cost(trace, model)))
             cells = [(model, factories[f](trace, model)) for f in fidxs]
             if _obs.enabled:
                 # tag with the backend the kernel tier would resolve for
@@ -353,7 +360,7 @@ def _fleet_chunk_task(chunk: Sequence[tuple]):
                     )
                 else:
                     rows.append((i, ("full", result)))
-        return rows
+        return rows, opts
 
     return _chunk_observed("fleet", n_objects, compute)
 
@@ -517,7 +524,8 @@ class ExperimentRunner:
         files (the columnar worker hand-off).  ``None`` (default) uses a
         per-run temporary directory that is removed when the run ends; a
         persistent directory is reused across runs (files are keyed by
-        trace content, so stale entries are impossible).
+        trace content; a reused file is re-hashed first and rewritten if
+        it is truncated or does not match its name).
     spill_threshold:
         Minimum trace length (requests) for the spool hand-off; shorter
         traces ride along in the fork-inherited context as before.
@@ -623,7 +631,9 @@ class ExperimentRunner:
         * chunks are sized by total trace length and pulled from a
           shared refill queue (``run_tagged(window=...)``), so one giant
           object among thousands of tiny ones does not straggle;
-        * each group's offline optimum is computed once and shared.
+        * each group's offline optimum is computed once, inside the
+          chunk holding the group's first object, and shared — one IPC
+          round per chunk carries both rows and optima.
 
         Outcomes fold through an index-ordered reorder buffer, keeping
         every mode bit-identical to the serial per-object loop (see the
@@ -699,14 +709,17 @@ class ExperimentRunner:
             "fleet_ship_results": bool(materialize),
         }
         chunks = self._fleet_chunks(group_items, specs, spec_f)
-        opt_tasks = (
-            [("opt", _opt_task, (d, lam)) for d, lam, _ in group_items]
-            if compute_optimal
-            else []
-        )
-        tasks = itertools.chain(
-            opt_tasks, (("sim", _fleet_chunk_task, c) for c in chunks)
-        )
+        # a group's optimum rides in the chunk holding its first object
+        # (chunks keep spec order within a group, so that is the group's
+        # first sub-slab), making a fleet exactly one task per chunk
+        first_of = {idxs[0] for _, _, idxs in group_items}
+        tasks = [
+            tuple(
+                (d, lam, idxs, fidxs, compute_optimal and idxs[0] in first_of)
+                for d, lam, idxs, fidxs in chunk
+            )
+            for chunk in chunks
+        ]
         self.progress.start(len(specs), label="fleet", unit="objects")
         opts: dict[tuple[str, float], float] = {}
         pending_rows: dict[int, Any] = {}
@@ -758,21 +771,19 @@ class ExperimentRunner:
         with _obs.timed_span("runner.fleet", objects=len(specs)) as sp:
             try:
                 with _Executor(self.workers, context) as ex:
-                    for tag, (result, delta) in ex.run_tagged(
-                        tasks, window=window
+                    for _, ((rows, chunk_opts), delta) in ex.run_tagged(
+                        (("fleet", _fleet_chunk_task, t) for t in tasks),
+                        window=window,
                     ):
                         _obs.merge_delta(delta)
-                        if tag == "opt":
-                            tk, lam, opt = result
+                        for tk, lam, opt in chunk_opts:
                             opts[(tk, lam)] = opt
-                        else:
-                            if _obs.enabled:
-                                _obs.counter(
-                                    "repro_runner_jobs_total",
-                                    source="executed",
-                                ).inc(len(result))
-                            for i, row in result:
-                                pending_rows[i] = row
+                        if _obs.enabled:
+                            _obs.counter(
+                                "repro_runner_jobs_total", source="executed"
+                            ).inc(len(rows))
+                        for i, row in rows:
+                            pending_rows[i] = row
                         drain()
             finally:
                 spool_cleanup()
@@ -819,7 +830,24 @@ class ExperimentRunner:
         big = [k for k, tr in traces.items() if len(tr) >= threshold]
         if not big:
             return dict(traces), {}, lambda: None
-        from ..system.trace_io import save_trace_npz
+        from ..system.trace_io import load_trace_npz, save_trace_npz
+
+        def reusable(path: Path, digest: str) -> bool:
+            # workers map spool files without validation, so a reused
+            # file is loaded here exactly as they would load it and must
+            # hash to its name; a truncated or corrupted one is rewritten
+            # (corrupt npy headers raise arbitrary exception types from
+            # numpy's parser, e.g. tokenize.TokenError)
+            if not path.exists():
+                return False
+            try:
+                trace = load_trace_npz(path, mmap=True, validate=False)
+                ok = trace_digest(trace) == digest
+            except Exception:
+                ok = False
+            if not ok:
+                _log.warning("spool file rebuilt", **kv(path=str(path)))
+            return ok
 
         if self.spill_dir is not None:
             root = Path(self.spill_dir)
@@ -835,7 +863,7 @@ class ExperimentRunner:
         for k in big:
             digest = digests[k]
             path = root / f"{digest}.npz"
-            if not path.exists():
+            if not reusable(path, digest):
                 # write-then-rename: a persistent spool dir may be shared
                 # by concurrent runs, and the digest names the content
                 tmp_path = root / f".{digest}.{os.getpid()}.tmp.npz"

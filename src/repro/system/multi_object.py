@@ -36,6 +36,9 @@ to the serial per-object loop, not merely statistically equivalent:
    deterministic function of ``(trace, lambda, n)``; computing it once
    per distinct ``(trace digest, lambda)`` group and sharing the float
    across the group's objects reproduces the per-object values exactly.
+   The sharded runner computes it inside the chunk holding the group's
+   first object, so the optimum costs no IPC round of its own: one
+   round per chunk carries both rows and optima.
 3. **Aggregation order.**  Serial totals are left-to-right Python sums
    in spec order.  Parallel runs complete chunks in nondeterministic
    order, so the runner folds outcomes through an index-ordered reorder

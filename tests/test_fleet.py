@@ -189,15 +189,16 @@ class TestFleetBitIdentity:
 # ----------------------------------------------------------------------
 
 
-class TestFleetChunking:
-    def _chunk_inputs(self, specs):
-        spec_digest = [trace_digest(s.trace) for s in specs]
-        spec_f = [0] * len(specs)
-        groups: dict = {}
-        for i, s in enumerate(specs):
-            groups.setdefault((spec_digest[i], s.lam), []).append(i)
-        return [(d, lam, idxs) for (d, lam), idxs in groups.items()], spec_f
+def _chunk_inputs(specs):
+    spec_digest = [trace_digest(s.trace) for s in specs]
+    spec_f = [0] * len(specs)
+    groups: dict = {}
+    for i, s in enumerate(specs):
+        groups.setdefault((spec_digest[i], s.lam), []).append(i)
+    return [(d, lam, idxs) for (d, lam), idxs in groups.items()], spec_f
 
+
+class TestFleetChunking:
     def test_skewed_fleet_chunking_deterministic_and_complete(self):
         giant = uniform_random_trace(3, 3000, horizon=6000.0, seed=9)
         tiny = [
@@ -209,7 +210,7 @@ class TestFleetChunking:
         ]
         specs.insert(7, ObjectSpec("giant", giant, 5.0, la_oracle))
         runner = ExperimentRunner(workers=4)
-        group_items, spec_f = self._chunk_inputs(specs)
+        group_items, spec_f = _chunk_inputs(specs)
         c1 = runner._fleet_chunks(group_items, specs, spec_f)
         c2 = runner._fleet_chunks(group_items, specs, spec_f)
         assert c1 == c2  # same inputs -> byte-identical chunking
@@ -233,7 +234,7 @@ class TestFleetChunking:
             for i in range(10)
         ]
         runner = ExperimentRunner(workers=2, chunk_size=3)
-        group_items, spec_f = self._chunk_inputs(specs)
+        group_items, spec_f = _chunk_inputs(specs)
         chunks = runner._fleet_chunks(group_items, specs, spec_f)
         sizes = [sum(len(idxs) for _, _, idxs, _ in c) for c in chunks]
         assert all(s <= 3 for s in sizes)
@@ -247,6 +248,140 @@ class TestFleetChunking:
         assert r1.online_total == r2.online_total
         assert r1.optimal_total == r2.optimal_total
         assert r1.worst_object_ratio == r2.worst_object_ratio
+
+
+# ----------------------------------------------------------------------
+# one task per chunk: each group's optimum rides in its first chunk
+# ----------------------------------------------------------------------
+
+
+def _distinct_trace_fleet(n_objects=300, n=3, seed=0):
+    """An access-log-shaped fleet: Zipf trace lengths with one trace per
+    object, a giant object far over any chunk budget, and one
+    ``(trace, lambda)`` group of seven objects that ``chunk_size=3``
+    splits across three chunks."""
+    top = 400
+    specs = [
+        ObjectSpec(
+            f"z{k:03d}",
+            uniform_random_trace(
+                n, max(1, top // k), horizon=50.0 * top / k, seed=seed + k
+            ),
+            (5.0, 25.0)[k % 2],
+            FACTORIES[k % 3],
+        )
+        for k in range(1, n_objects + 1)
+    ]
+    giant = uniform_random_trace(n, 10_000, horizon=20_000.0, seed=seed)
+    specs.insert(40, ObjectSpec("giant", giant, 5.0, la_oracle))
+    shared = uniform_random_trace(n, 30, horizon=60.0, seed=seed + 7)
+    for j in range(7):
+        specs.insert(100 + 3 * j, ObjectSpec(f"s{j}", shared, 5.0, la_noisy))
+    return MultiObjectSystem(n, specs)
+
+
+def _groups(system):
+    return {(trace_digest(s.trace), s.lam) for s in system.specs}
+
+
+class TestOptimumInChunk:
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        system = _distinct_trace_fleet()
+        return system, {
+            co: system.run(compute_optimal=co) for co in (True, False)
+        }
+
+    def test_fleet_shape(self, fleet):
+        system, _ = fleet
+        specs = list(system.specs)
+        group_items, spec_f = _chunk_inputs(specs)
+        # the shared group spans several chunks under chunk_size=3
+        chunks = ExperimentRunner(workers=2, chunk_size=3)._fleet_chunks(
+            group_items, specs, spec_f
+        )
+        shared = {i for i, s in enumerate(specs) if s.object_id[0] == "s"}
+        assert sum(bool(shared & set(sub[2])) for c in chunks for sub in c) >= 3
+        # the giant object is over the default budget: a chunk of its own
+        giant = next(i for i, s in enumerate(specs) if s.object_id == "giant")
+        for workers in (1, 2):
+            chunks = ExperimentRunner(workers=workers)._fleet_chunks(
+                group_items, specs, spec_f
+            )
+            assert ((giant,),) in [
+                tuple(sub[2] for sub in c) for c in chunks
+            ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("compute_optimal", [True, False])
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_report_matches_serial_loop(
+        self, fleet, workers, compute_optimal, materialize, chunk_size
+    ):
+        system, serial_by_co = fleet
+        serial = serial_by_co[compute_optimal]
+        runner = ExperimentRunner(workers=workers, chunk_size=chunk_size)
+        report = runner.run_fleet(
+            system,
+            compute_optimal=compute_optimal,
+            engine="auto",
+            materialize=materialize,
+        )
+        assert report.n_objects == serial.n_objects
+        assert report.online_total == serial.online_total
+        assert report.optimal_total == serial.optimal_total
+        assert report.fleet_ratio == serial.fleet_ratio
+        assert report.worst_object_ratio == serial.worst_object_ratio
+        assert report.top_offenders() == serial.top_offenders()
+        if materialize:
+            _assert_outcomes_equal(serial, report)
+
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_optimum_once_per_group(self, fleet, monkeypatch, chunk_size):
+        from repro.experiments import runner as runner_mod
+
+        system, serial_by_co = fleet
+        calls = []
+        real = runner_mod.optimal_cost
+
+        def counted(trace, model):
+            calls.append((trace_digest(trace), model.lam))
+            return real(trace, model)
+
+        monkeypatch.setattr(runner_mod, "optimal_cost", counted)
+        runner = ExperimentRunner(workers=1, chunk_size=chunk_size)
+        report = runner.run_fleet(system, engine="auto", materialize=False)
+        assert sorted(calls) == sorted(_groups(system))
+        assert report.optimal_total == serial_by_co[True].optimal_total
+        calls.clear()
+        runner.run_fleet(system, compute_optimal=False, engine="auto")
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_chunk_span_per_chunk_and_no_opt_tasks(self, workers):
+        from repro.obs import metrics
+
+        system = _distinct_trace_fleet(n_objects=40)
+        runner = ExperimentRunner(workers=workers, chunk_size=3)
+        specs = list(system.specs)
+        group_items, spec_f = _chunk_inputs(specs)
+        chunks = runner._fleet_chunks(group_items, specs, spec_f)
+        metrics.disable()
+        metrics.reset()
+        try:
+            with metrics.enabled_scope():
+                runner.run_fleet(system, engine="auto", materialize=False)
+                snap = metrics.get_registry().snapshot()
+        finally:
+            metrics.disable()
+            metrics.reset()
+        chunk_spans = [s for s in snap["spans"] if s["name"] == "runner.chunk"]
+        assert len(chunk_spans) == len(chunks)
+        assert {s["tags"]["kind"] for s in chunk_spans} == {"fleet"}
+        assert sorted(s["tags"]["cells"] for s in chunk_spans) == sorted(
+            sum(len(sub[2]) for sub in c) for c in chunks
+        )
 
 
 # ----------------------------------------------------------------------

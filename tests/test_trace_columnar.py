@@ -296,6 +296,12 @@ def test_engines_bit_identical_on_array_native_traces(cols, alpha):
 # ----------------------------------------------------------------------
 
 
+def _alg1_factory(trace, model):
+    from repro.analysis.sweep import algorithm1_factory
+
+    return algorithm1_factory(trace, model.lam, 0.5, 0.8, 0)
+
+
 class TestRunnerSpool:
     def _rows(self, result):
         return [
@@ -333,6 +339,50 @@ class TestRunnerSpool:
         runner.run("smoke")
         assert sorted((tmp_path / "spool").glob("*.npz")) == files
         assert [f.stat().st_mtime_ns for f in files] == mtimes
+
+    def test_corrupt_spool_files_rebuilt(self, tmp_path):
+        """A reused spool file that is truncated or silently corrupted is
+        caught by its digest and rewritten, so the re-run matches a fresh
+        run bit for bit."""
+        from repro.experiments import ExperimentRunner
+        from repro.system import MultiObjectSystem, ObjectSpec
+
+        traces = [
+            uniform_random_trace(3, 40 + 10 * k, horizon=100.0, seed=k)
+            for k in range(3)
+        ]
+        system = MultiObjectSystem(3, [
+            ObjectSpec(f"o{i}", traces[i % 3], (2.0, 10.0)[i % 2],
+                       _alg1_factory)
+            for i in range(12)
+        ])
+        spool_dir = tmp_path / "spool"
+        runner = ExperimentRunner(
+            workers=2, spill_threshold=1, spill_dir=spool_dir
+        )
+
+        def costs():
+            report = runner.run_fleet(system, engine="auto")
+            return [(o.online, o.optimal) for o in report.outcomes]
+
+        fresh = costs()
+        truncated, flipped = (spool_dir / f"{trace_digest(tr)}.npz"
+                              for tr in traces[:2])
+        truncated.write_bytes(truncated.read_bytes()[:-100])
+        # flip the low byte of one timestamp: the file still loads as a
+        # valid trace, just not the one its name promises
+        raw = bytearray(flipped.read_bytes())
+        at = raw.find(traces[1].times.tobytes()) + 8 * 5
+        raw[at] ^= 0x01
+        flipped.write_bytes(bytes(raw))
+        bad = load_trace_npz(flipped, mmap=True)
+        assert trace_digest(bad) != flipped.stem
+        del bad
+
+        assert costs() == fresh
+        for f in spool_dir.glob("*.npz"):
+            assert trace_digest(load_trace_npz(f, mmap=True)) == f.stem
+        assert not list(spool_dir.glob(".*"))  # no temp files left over
 
     def test_threshold_none_never_spools(self, tmp_path):
         from repro.experiments import ExperimentRunner
